@@ -8,8 +8,6 @@ of x^i).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 #: Standard primitive polynomials (bitmask includes the x^m term).
 PRIMITIVE_POLYS = {
     2: 0b111,
@@ -60,6 +58,8 @@ class GF2m:
         # Duplicate the table so exp[a + b] never needs a mod.
         for power in range(self.order, 2 * self.order):
             self.exp[power] = self.exp[power - self.order]
+        # Per-instance, so a dropped field frees its tables with it.
+        self._minimal_polynomials: dict[int, int] = {}
 
     # -- element arithmetic ------------------------------------------------
 
@@ -134,13 +134,16 @@ class GF2m:
                 break
         return coset
 
-    @lru_cache(maxsize=None)
     def minimal_polynomial(self, i: int) -> int:
         """Minimal polynomial of alpha^i over GF(2), as an int bitmask.
 
         Computed as prod_{j in coset(i)} (x - alpha^j); the product has all
-        coefficients in GF(2) by Galois theory, which we assert.
+        coefficients in GF(2) by Galois theory, which we assert.  Memoized
+        on the instance.
         """
+        cached = self._minimal_polynomials.get(i)
+        if cached is not None:
+            return cached
         coset = self.cyclotomic_coset(i)
         poly = [1]  # constant 1
         for j in coset:
@@ -151,6 +154,7 @@ class GF2m:
                 raise AssertionError("minimal polynomial has non-binary coefficient")
             if coeff:
                 mask |= 1 << degree
+        self._minimal_polynomials[i] = mask
         return mask
 
 

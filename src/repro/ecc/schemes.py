@@ -21,6 +21,7 @@ framing and the conservative bound for the per-word (72,64) layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .bch import BchCode
@@ -76,8 +77,14 @@ LINE_DATA_BITS = 512
 DETECTOR_BITS = 16
 
 
+@lru_cache(maxsize=None)
 def _bch_check_bits(t: int, data_bits: int = LINE_DATA_BITS) -> int:
-    """Check bits of the shortened BCH used for strength ``t``."""
+    """Check bits of the shortened BCH used for strength ``t``.
+
+    A pure function of its arguments, cached so scheme construction
+    (every candidate of a provisioning sweep builds one) skips building
+    the code and its field each time.
+    """
     return BchCode(data_bits, t).check_bits
 
 

@@ -17,8 +17,8 @@ through the same exact renewal surrogate the screening planner uses
 (:mod:`repro.screen.planner`): for in-regime candidates (detector-less
 threshold policies on idle single-region devices) the surrogate gives
 the *exact* expectation of every axis at closed-form cost, so no MC is
-spent at all.  The whole grid is scored per lot in one call to the
-grid-batched kernel (:func:`repro.sim.renewal_batch.finite_horizon_batch`)
+spent at all.  The whole grid of every lot is scored in one call to the
+batched kernel (:func:`repro.sim.renewal_batch.finite_horizon_batch`)
 - each device's crossing distribution is tabulated once and its
 propagation memoized across candidates.  A device escalates to the real
 engine only when
@@ -521,53 +521,57 @@ class ProvisionSearch:
     def _evaluate_surrogate(
         self,
         candidates: list[Candidate],
-        variants: list[FleetSpec],
-        devices: list[DeviceSpec],
-        distributions: list,
-    ) -> tuple[dict[tuple[int, int], FiniteHorizonSolution], list[list[int]]]:
-        """Score one lot's whole candidate grid in a single batched call.
+        lots: list[tuple[list[FleetSpec], list[DeviceSpec], list]],
+    ) -> list[tuple[dict[tuple[int, int], FiniteHorizonSolution], list[list[int]]]]:
+        """Score every lot's whole candidate grid in a single batched call.
 
-        Returns ``(solutions, regime_escalated)``: ``solutions`` maps
-        every in-regime ``(candidate_pos, device_pos)`` pair to its exact
-        finite-horizon solution - one :func:`finite_horizon_batch` call
-        covering the full grid, with the lot's distributions (tabulated
-        once, threaded in by the caller) shared across candidates -
-        and ``regime_escalated`` lists, per candidate, the device
-        positions that must go to MC regardless of any budget check
-        (out of the surrogate's regime, or ``exhaustive``).  With
-        ``batch=False`` the same pairs are solved through per-pair scalar
-        :meth:`RenewalModel.finite_horizon` calls, one model per device.
+        ``lots`` holds, per lot, the candidate variants, the devices and
+        their distributions (tabulated once, threaded in by the caller).
+        Returns, per lot, ``(solutions, regime_escalated)``:
+        ``solutions`` maps every in-regime ``(candidate_pos,
+        device_pos)`` pair to its exact finite-horizon solution, and
+        ``regime_escalated`` lists, per candidate, the device positions
+        that must go to MC regardless of any budget check (out of the
+        surrogate's regime, or ``exhaustive``).  One
+        :func:`finite_horizon_batch` call covers the grid of every lot,
+        so rows of different lots sharing a policy point run in one
+        visit loop.  With ``batch=False`` the same pairs are solved
+        through per-pair scalar :meth:`RenewalModel.finite_horizon`
+        calls, one model per device.
         """
         horizon = self.spec.base_config.horizon
         tasks: list[RenewalTask] = []
-        owners: list[tuple[int, int]] = []
-        regime_escalated: list[list[int]] = []
-        for ci, (candidate, variant) in enumerate(zip(candidates, variants)):
-            escalated: list[int] = []
-            for pos, device in enumerate(devices):
-                if self.exhaustive or regime_reasons(variant, device):
-                    escalated.append(pos)
-                    continue
-                owners.append((ci, pos))
-                tasks.append(
-                    RenewalTask(
-                        distribution=distributions[pos],
-                        cells_per_line=device.config.cells_per_line,
-                        interval=candidate.interval,
-                        t_ecc=candidate.strength,
-                        threshold=candidate.effective_threshold,
+        owners: list[tuple[int, int, int]] = []
+        escalations: list[list[list[int]]] = []
+        for li, (variants, devices, distributions) in enumerate(lots):
+            regime_escalated: list[list[int]] = []
+            for ci, (candidate, variant) in enumerate(zip(candidates, variants)):
+                escalated: list[int] = []
+                for pos, device in enumerate(devices):
+                    if self.exhaustive or regime_reasons(variant, device):
+                        escalated.append(pos)
+                        continue
+                    owners.append((li, ci, pos))
+                    tasks.append(
+                        RenewalTask(
+                            distribution=distributions[pos],
+                            cells_per_line=device.config.cells_per_line,
+                            interval=candidate.interval,
+                            t_ecc=candidate.strength,
+                            threshold=candidate.effective_threshold,
+                        )
                     )
-                )
-            regime_escalated.append(escalated)
+                regime_escalated.append(escalated)
+            escalations.append(regime_escalated)
         if self.batch:
             solved = finite_horizon_batch(tasks, horizon)
         else:
-            models: dict[int, RenewalModel] = {}
+            models: dict[tuple[int, int], RenewalModel] = {}
             solved = []
-            for (_, pos), task in zip(owners, tasks):
-                model = models.get(pos)
+            for (li, _, pos), task in zip(owners, tasks):
+                model = models.get((li, pos))
                 if model is None:
-                    model = models[pos] = RenewalModel(
+                    model = models[li, pos] = RenewalModel(
                         task.distribution, task.cells_per_line
                     )
                 solved.append(
@@ -575,7 +579,12 @@ class ProvisionSearch:
                         task.interval, task.t_ecc, task.threshold, horizon
                     )
                 )
-        return dict(zip(owners, solved)), regime_escalated
+        solutions: list[dict[tuple[int, int], FiniteHorizonSolution]] = [
+            {} for _ in lots
+        ]
+        for (li, ci, pos), solution in zip(owners, solved):
+            solutions[li][ci, pos] = solution
+        return list(zip(solutions, escalations))
 
     # -- per-candidate evaluation ---------------------------------------------
 
@@ -718,10 +727,7 @@ class ProvisionSearch:
                 candidates.append(candidate)
         if not candidates:
             raise ProvisionError("candidate space is empty after dedup")
-        lots = []
-        mc_device_runs = 0
-        surrogate_candidates = 0
-        escalated_candidates = 0
+        prepared = []
         for lot in self.spec.lots:
             indices = self.spec.lot_indices(lot.name)
             # One device list and one tabulated distribution per device
@@ -737,9 +743,17 @@ class ProvisionSearch:
                 variant_spec(self.spec, lot.name, candidate)
                 for candidate in candidates
             ]
-            solutions, regime_escalated = self._evaluate_surrogate(
-                candidates, variants, devices, distributions
-            )
+            prepared.append((lot, indices, variants, devices, distributions))
+        surrogate = self._evaluate_surrogate(
+            candidates, [entry[2:] for entry in prepared]
+        )
+        lots = []
+        mc_device_runs = 0
+        surrogate_candidates = 0
+        escalated_candidates = 0
+        for (lot, indices, variants, devices, _), (solutions, regime_escalated) in zip(
+            prepared, surrogate
+        ):
             evaluations = tuple(
                 self._evaluate_candidate(
                     lot, candidate, variants[ci], indices, devices,

@@ -25,7 +25,7 @@ parameters are drawn from ``default_rng([seed, index])`` exactly as the
 campaign runner draws them, so the plan is independent of shard layout,
 ``--jobs``, or resume boundaries - the property the deterministic-
 classification tests pin.  In-regime devices are evaluated through the
-grid-batched kernel (:func:`repro.sim.renewal_batch.finite_horizon_batch`)
+batched kernel (:func:`repro.sim.renewal_batch.finite_horizon_batch`)
 - one call per lot-policy parameter group with vectorized Poisson
 predictive bounds - and ``jobs > 1`` fans contiguous device chunks over
 the process pool; ``batch=False`` keeps the per-device scalar path as

@@ -1,25 +1,32 @@
-"""Grid-batched finite-horizon renewal evaluation.
+"""Batched finite-horizon renewal evaluation.
 
 The scalar solver (:meth:`repro.sim.renewal.RenewalModel.finite_horizon`)
 answers one ``(distribution, T, t, theta, horizon)`` question at a time
 with a pure-Python ``O(V^2)`` recursion - microseconds per point, but a
 million-device screen or a lot x candidate provisioning grid asks the
 same question tens of thousands of times.  This module batches the two
-expensive stages across a whole task list:
+expensive stages across a whole task list.  Tasks sharing a policy point
+(same ``t``, ``theta`` and cells per line) form one group whatever their
+visit grids ``V``: each stage runs one loop over visits out to the
+group's longest grid, and each step works on the rows whose own grid is
+still running (rows sorted longest first, so those are a prefix).
 
 * **Propagation** - the per-cycle resolution vectors ``u_m`` / ``w_m``
   (probability a fresh cycle ends in a UE / write-back exactly at visit
-  ``m``) are computed for many distributions at once: one ``(R, V)`` CDF
-  matrix, then the count-state transition loop runs over visits with the
-  tiny state/increment loops vectorized across rows.  Identical float
-  operations to :meth:`RenewalModel._propagate` per row, so results
-  agree to rounding noise (the ``surrogate_batch`` law pins <= 1e-9
-  relative).
-* **Recursion** - tasks sharing a visit grid (same ``V``, ``t``,
-  ``theta``, cells per line) are stacked into ``(R, V)`` arrays and the
-  renewal recursion runs as per-visit array ops: prefix sums for the
-  direct terms plus one reversed-slice dot product per visit for the
-  convolution terms.
+  ``m``).  Everything that does not depend on the previous visit - the
+  CDF, the per-visit crossing probability, the binomial PMF tables and
+  the UE factors - is computed elementwise for all visits up front; the
+  visit loop keeps only the count-state multiply-adds, in the order
+  :meth:`RenewalModel._propagate` makes them, so results agree with the
+  scalar solver to rounding noise (the ``surrogate_batch`` law pins
+  <= 1e-9 relative).
+* **Recursion** - the renewal recursion runs as per-visit array ops:
+  prefix sums for the direct terms plus one stacked reversed-slice dot
+  product per visit for the three convolution terms.
+
+Each row's float operations are the same whatever its group-mates, so a
+task's solution is bit-identical alone, in any batch, or split across
+calls.
 
 Propagations are memoized on ``(distribution content hash, interval,
 strength, threshold, visits, tolerance)`` through the same two-level
@@ -31,9 +38,10 @@ common case in screening fleets - collapse to one propagation per
 
 Consumers: :func:`repro.screen.planner.plan_screen` (one call per
 policy-parameter group) and :class:`repro.provision.search.ProvisionSearch`
-(one call per lot covering the whole candidate grid).  Batch telemetry
-lands in the process metrics registry as ``surrogate_batch_*`` gauges and
-the ``surrogate_memo`` counter group.
+(one call per search, covering every lot's candidate grid).  Batch
+telemetry lands in the process metrics registry as ``surrogate_batch_*``
+gauges (``surrogate_batch_groups`` counts the ``(t, theta, cells)``
+groups of the last call) and the ``surrogate_memo`` counter group.
 """
 
 from __future__ import annotations
@@ -193,6 +201,10 @@ def _memo_insert(key: str, value: tuple[np.ndarray, np.ndarray]) -> None:
 
 # -- vectorized stages -----------------------------------------------------------
 
+#: Floats one block of hoisted propagation tables may hold; a block spans
+#: as many visits as fit, so wide screening batches stay bounded in memory.
+_TABLE_BLOCK_FLOATS = 1 << 17
+
 
 def _binomial_pmf_batch(n: int, p: np.ndarray, max_k: int) -> np.ndarray:
     """Binomial(``n``, ``p_r``) PMF rows for k = 0..max_k.
@@ -219,100 +231,196 @@ def _binomial_pmf_batch(n: int, p: np.ndarray, max_k: int) -> np.ndarray:
     return out
 
 
+def _descending(lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row order by length, longest first, and how many rows run per step.
+
+    ``running[n]`` counts the rows whose length exceeds ``n``; in the
+    returned order those rows are a prefix, so a step slices ``[:k]``.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    running = np.searchsorted(
+        -lengths[order], -np.arange(lengths.max()), side="left"
+    )
+    return order, running
+
+
+def _step_probabilities(
+    distributions: Sequence[CrossingDistribution],
+    intervals: Sequence[float],
+    visits: int,
+) -> np.ndarray:
+    """``(R, V)`` probability that a cell surviving visit ``n`` crosses by
+    visit ``n + 1``: the scalar propagation's ``p_step``, for all visits."""
+    steps = np.arange(1.0, visits + 1.0)
+    cdf = np.empty((len(distributions), visits))
+    for r, distribution in enumerate(distributions):
+        cdf[r] = distribution.cdf(intervals[r] * steps)
+    prev = np.zeros_like(cdf)
+    prev[:, 1:] = cdf[:, :-1]
+    denom = 1.0 - prev
+    safe = np.where(denom <= 0.0, 1.0, denom)
+    return np.where(denom <= 0.0, 0.0, np.minimum(1.0, (cdf - prev) / safe))
+
+
+def _visit_layout(
+    t_ecc: int, threshold: int, cells_per_line: int
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Where one visit's count-state products go, in the scalar order.
+
+    A visit of :meth:`RenewalModel._propagate` is ``theta + 2`` running
+    sums of products ``survive[k] * coefficient``: each next surviving
+    count ``total`` sums over ``k`` ascending, the write-back over
+    ``(k, j)`` ascending, the UE over ``k`` ascending.  Column ``c`` of
+    an ``(L, theta + 2)`` grid holds one sum (totals, then write, then
+    UE) with its terms down the rows, zero-padded; a cumulative sum down
+    the rows then adds every term in the scalar order (adding a padding
+    ``+0.0`` leaves a sum's bits alone).  Returns ``source[l, c]``, the
+    count state feeding each cell, and per ``k`` the first write row and
+    the number of write terms.
+    """
+    writes = []
+    position = 0
+    for k in range(threshold):
+        width = min(t_ecc - k, cells_per_line - k) + 1
+        count = max(0, width - (threshold - k))
+        writes.append((position, count))
+        position += count
+    source = np.zeros((max(threshold, position), threshold + 2), dtype=np.intp)
+    for k, (first, count) in enumerate(writes):
+        source[k, :threshold] = k
+        source[k, threshold + 1] = k
+        source[first:first + count, threshold] = k
+    return source, writes
+
+
+def _visit_tables(
+    p_step: np.ndarray,
+    source: np.ndarray,
+    writes: list[tuple[int, int]],
+    t_ecc: int,
+    threshold: int,
+    cells_per_line: int,
+) -> np.ndarray:
+    """Coefficients for every cell of :func:`_visit_layout`, per ``p_step``.
+
+    ``p_step`` is ``(B, R)`` (visits by rows); the result is ``(B, R, L,
+    theta + 2)``.  The binomial PMFs and UE factors are the ones the
+    per-visit loop used to compute, evaluated elementwise for all visits
+    at once.
+    """
+    blocks, rows = p_step.shape
+    flat = np.ascontiguousarray(p_step).reshape(-1)
+    table = np.zeros((flat.size,) + source.shape)
+    for k, (first, count) in enumerate(writes):
+        pmf = _binomial_pmf_batch(cells_per_line - k, flat, t_ecc - k)
+        kept = min(threshold - k, pmf.shape[1])
+        table[:, k, k:k + kept] = pmf[:, :kept]
+        table[:, first:first + count, threshold] = pmf[:, threshold - k:]
+        table[:, k, threshold + 1] = np.maximum(0.0, 1.0 - pmf.sum(axis=1))
+    return table.reshape((blocks, rows) + source.shape)
+
+
 def _propagate_batch(
     distributions: Sequence[CrossingDistribution],
     intervals: Sequence[float],
     t_ecc: int,
     threshold: int,
     cells_per_line: int,
-    visits: int,
+    lengths: Sequence[int],
     tolerance: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cycle resolution vectors for many rows at once.
 
     Row ``r`` reproduces :meth:`RenewalModel._propagate` for
-    ``(distributions[r], intervals[r])`` under the shared ``(t, theta,
-    cells)`` point: the CDF is evaluated as one ``(R, V)`` matrix, the
-    visit loop stays in Python (each step depends on the last), and the
-    tiny state/increment loops run as width-``R`` array ops.  The scalar
-    solver's early break (surviving mass below ``tolerance``) becomes a
-    sticky per-row ``active`` mask, so frozen rows emit the same zero
-    tail the scalar path pads with.
+    ``(distributions[r], intervals[r])`` over its own ``lengths[r]``
+    visits under the shared ``(t, theta, cells)`` point; the result is
+    ``(R, max(lengths))``, zero past each row's length.  Everything that
+    does not depend on the previous visit - the CDF, ``p_step``, the
+    binomial PMFs and the UE factors - is computed up front for all
+    visits (in blocks of :data:`_TABLE_BLOCK_FLOATS`), so the visit loop
+    is one gather, one multiply and one cumulative sum over the rows
+    still running (longest first, so those are a prefix).  Every row gets
+    the bits it gets when propagated alone.  The scalar solver's early
+    break (surviving mass below ``tolerance``) is applied after the loop
+    as a sticky per-row mask, so rows past it emit the same zero tail
+    the scalar path pads with.
     """
     rows = len(distributions)
-    steps = np.arange(1.0, visits + 1.0)
-    cdf = np.empty((rows, visits))
-    for r, distribution in enumerate(distributions):
-        cdf[r] = distribution.cdf(intervals[r] * steps)
-
-    u = np.zeros((rows, visits))
-    w = np.zeros((rows, visits))
+    order, running = _descending(lengths)
+    visits = running.size
+    p_step = _step_probabilities(
+        [distributions[r] for r in order], [intervals[r] for r in order], visits
+    )
+    source, writes = _visit_layout(t_ecc, threshold, cells_per_line)
+    alive = np.zeros((visits, rows))
+    resolved = np.zeros((visits, rows, 2))  # (write, UE) per visit and row
     survive = np.zeros((rows, threshold))
     survive[:, 0] = 1.0
-    active = np.ones(rows, dtype=bool)
-    prev_f = np.zeros(rows)
-    for n in range(visits):
-        f = cdf[:, n]
-        denom = 1.0 - prev_f
-        safe = np.where(denom <= 0.0, 1.0, denom)
-        p_step = np.where(
-            denom <= 0.0, 0.0, np.minimum(1.0, (f - prev_f) / safe)
-        )
-        prev_f = f
-
-        active &= survive.sum(axis=1) > tolerance
-        if not active.any():
+    block_end = 0
+    for n, k in enumerate(running.tolist()):
+        if n == block_end:
+            span = max(1, _TABLE_BLOCK_FLOATS // (k * source.size))
+            block_start, block_end = n, min(visits, n + span)
+            table = _visit_tables(
+                p_step[:k, block_start:block_end].T, source, writes,
+                t_ecc, threshold, cells_per_line,
+            )
+        state = survive[:k]
+        mass = np.add.reduce(state, axis=1, out=alive[n, :k])
+        if not (mass > tolerance).any():
             break
+        sums = (state[:, source] * table[n - block_start, :k]).cumsum(axis=1)
+        survive = sums[:, -1, :threshold]
+        resolved[n, :k] = sums[:, -1, threshold:]
 
-        visit_ue = np.zeros(rows)
-        visit_write = np.zeros(rows)
-        next_survive = np.zeros_like(survive)
-        for k in range(threshold):
-            mass = survive[:, k]
-            pmf = _binomial_pmf_batch(cells_per_line - k, p_step, t_ecc - k)
-            for j in range(pmf.shape[1]):
-                total = k + j
-                share = mass * pmf[:, j]
-                if total < threshold:
-                    next_survive[:, total] += share
-                else:  # threshold <= total <= t_ecc: write-back
-                    visit_write += share
-            visit_ue += mass * np.maximum(0.0, 1.0 - pmf.sum(axis=1))
-        u[:, n] = np.where(active, visit_ue, 0.0)
-        w[:, n] = np.where(active, visit_write, 0.0)
-        survive = np.where(active[:, None], next_survive, survive)
+    active = np.logical_and.accumulate(alive > tolerance, axis=0)
+    u = np.empty((rows, visits))
+    w = np.empty((rows, visits))
+    u[order] = np.where(active, resolved[:, :, 1], 0.0).T
+    w[order] = np.where(active, resolved[:, :, 0], 0.0).T
     return u, w
 
 
 def _recursion_batch(
-    u: np.ndarray, w: np.ndarray
+    u: np.ndarray, w: np.ndarray, lengths: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The discrete renewal recursion over ``(R, V)`` resolution stacks.
 
     Vectorized form of :func:`repro.sim.renewal.finite_horizon_recursion`:
-    the direct ``sum_m u_m`` terms are prefix sums, and the convolution
-    terms ``sum_m r_m * N(v - m)`` are one reversed-slice row-dot per
-    visit.  Returns the horizon-final ``(expected_ue, expected_writes,
-    no_ue_probability)`` per row.
+    the direct ``sum_m u_m`` terms are prefix sums, and the three
+    convolution terms ``sum_m r_m * N(v - m)`` are one stacked
+    reversed-slice row-dot per visit.  Row ``r`` runs to its own
+    ``lengths[r] <= V`` and ignores its columns past it; rows are taken
+    longest first so the ones still running are a prefix.  Returns the
+    horizon-final ``(expected_ue, expected_writes, no_ue_probability)``
+    per row.
     """
     rows, visits = u.shape
+    order, running = _descending(lengths)
+    u, w = u[order], w[order]
     resolve = u + w
-    cum_u = np.cumsum(u, axis=1)
-    cum_w = np.cumsum(w, axis=1)
-    cum_r = np.cumsum(resolve, axis=1)
-    n_ue = np.zeros((rows, visits + 1))
-    n_write = np.zeros((rows, visits + 1))
-    no_ue = np.ones((rows, visits + 1))
-    for v in range(1, visits + 1):
+    kernels = np.stack([resolve, resolve, w])
+    direct = np.stack([
+        np.cumsum(u, axis=1),
+        np.cumsum(w, axis=1),
+        1.0 - np.cumsum(resolve, axis=1),
+    ])
+    # counts[:, r, v] = (N_ue(v), N_write(v), q(v)) for row r.
+    counts = np.zeros((3, rows, visits + 1))
+    counts[2] = 1.0
+    for v, k in enumerate(running.tolist(), start=1):
         # Column m - 1 of the reversed slice is N(v - m), m = 1..v.
-        tail = slice(v - 1, None, -1)
-        conv_ue = np.einsum("rm,rm->r", resolve[:, :v], n_ue[:, tail])
-        conv_write = np.einsum("rm,rm->r", resolve[:, :v], n_write[:, tail])
-        conv_q = np.einsum("rm,rm->r", w[:, :v], no_ue[:, tail])
-        n_ue[:, v] = cum_u[:, v - 1] + conv_ue
-        n_write[:, v] = cum_w[:, v - 1] + conv_write
-        no_ue[:, v] = np.clip(1.0 - cum_r[:, v - 1] + conv_q, 0.0, 1.0)
-    return n_ue[:, visits], n_write[:, visits], no_ue[:, visits]
+        conv = np.einsum(
+            "srm,srm->sr", kernels[:, :k, :v], counts[:, :k, v - 1::-1]
+        )
+        step = np.add(direct[:, :k, v - 1], conv, out=counts[:, :k, v])
+        # q(v) is clipped into [0, 1], as the scalar recursion does.
+        np.maximum(step[2], 0.0, out=step[2])
+        np.minimum(step[2], 1.0, out=step[2])
+    final = np.empty((3, rows))
+    final[:, order] = counts[:, np.arange(rows), np.asarray(lengths)[order]]
+    return final[0], final[1], final[2]
 
 
 # -- the batched kernel ----------------------------------------------------------
@@ -326,17 +434,19 @@ def finite_horizon_batch(
     tolerance: float = 1e-12,
     memo: bool = True,
 ) -> list[FiniteHorizonSolution]:
-    """Solve every task's finite-horizon question in grid-sized batches.
+    """Solve every task's finite-horizon question in policy-point batches.
 
     Drop-in for per-task :meth:`RenewalModel.finite_horizon` calls (same
     defaults, same :class:`FiniteHorizonSolution` rows, task order
-    preserved).  Tasks sharing a visit grid - equal ``(visits, t_ecc,
-    threshold, cells_per_line)`` - are stacked and evaluated together;
-    within a group, tasks with equal memo keys share one propagation.
-    Each row's arithmetic is independent of its group-mates, so results
-    do not depend on how a fleet is split across calls (or ``--jobs``
-    chunks).  ``memo=False`` bypasses the propagation memo entirely
-    (both layers) without changing any numbers.
+    preserved).  Tasks sharing a policy point - equal ``(t_ecc,
+    threshold, cells_per_line)`` - are stacked and evaluated together
+    whatever their visit grids: one propagation loop and one recursion
+    loop per group, each out to the group's longest grid, every row
+    stopping at its own.  Within a group, tasks with equal memo keys
+    share one propagation.  Each row's arithmetic is independent of its
+    group-mates, so results are bit-identical however tasks are split
+    across calls (or ``--jobs`` chunks).  ``memo=False`` bypasses the
+    propagation memo entirely (both layers) without changing any numbers.
     """
     tasks = list(tasks)
     if horizon <= 0:
@@ -345,21 +455,25 @@ def finite_horizon_batch(
         raise ValueError("max_visits must be >= 1")
 
     solutions: list[FiniteHorizonSolution | None] = [None] * len(tasks)
-    groups: dict[tuple[int, int, int, int], list[int]] = {}
+    grid_of = {
+        interval: aligned_visits(horizon, interval)
+        for interval in {task.interval for task in tasks}
+    }
+    grids = [grid_of[task.interval] for task in tasks]
+    groups: dict[tuple[int, int, int], list[int]] = {}
     for i, task in enumerate(tasks):
-        visits = aligned_visits(horizon, task.interval)
-        if visits == 0:
+        if grids[i] == 0:
             solutions[i] = FiniteHorizonSolution(
                 interval=task.interval, horizon=horizon, visits=0,
                 expected_ue=0.0, expected_writes=0.0, no_ue_probability=1.0,
             )
             continue
-        key = (visits, task.t_ecc, task.threshold, task.cells_per_line)
+        key = (task.t_ecc, task.threshold, task.cells_per_line)
         groups.setdefault(key, []).append(i)
 
     propagated = 0
-    for (visits, t_ecc, threshold, cells), members in groups.items():
-        n_prop = min(max_visits, visits)
+    for (t_ecc, threshold, cells), members in groups.items():
+        lengths = [min(max_visits, grids[i]) for i in members]
         resolved: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(members)
         #: memo key -> member positions still waiting on a propagation.
         pending: OrderedDict[str, list[int]] = OrderedDict()
@@ -368,7 +482,7 @@ def finite_horizon_batch(
             if not memo:
                 anonymous.append(pos)
                 continue
-            key = propagation_cache_key(tasks[i], n_prop, tolerance)
+            key = propagation_cache_key(tasks[i], lengths[pos], tolerance)
             if key in pending:
                 pending[key].append(pos)
                 continue
@@ -380,7 +494,7 @@ def finite_horizon_batch(
                 continue
             directory = tabulation_cache_dir()
             if directory is not None:
-                loaded = _load_propagation(key, n_prop, directory)
+                loaded = _load_propagation(key, lengths[pos], directory)
                 if loaded is not None:
                     SURROGATE_MEMO_COUNTERS["disk"] += 1
                     _memo_insert(key, loaded)
@@ -395,33 +509,35 @@ def finite_horizon_batch(
             u2d, w2d = _propagate_batch(
                 [task.distribution for task in rep_tasks],
                 [task.interval for task in rep_tasks],
-                t_ecc, threshold, cells, n_prop, tolerance,
+                t_ecc, threshold, cells,
+                [lengths[pos] for pos in representatives], tolerance,
             )
             propagated += len(representatives)
             SURROGATE_MEMO_COUNTERS["computed"] += len(representatives)
             directory = tabulation_cache_dir() if memo else None
             for r, (key, positions) in enumerate(pending.items()):
-                value = (u2d[r].copy(), w2d[r].copy())
+                n = lengths[positions[0]]
+                value = (u2d[r, :n].copy(), w2d[r, :n].copy())
                 _memo_insert(key, value)
                 if directory is not None:
                     _save_propagation(key, value[0], value[1], directory)
                 for pos in positions:
                     resolved[pos] = value
             for r, pos in enumerate(anonymous, start=len(pending)):
-                resolved[pos] = (u2d[r], w2d[r])
+                resolved[pos] = (u2d[r, : lengths[pos]], w2d[r, : lengths[pos]])
 
-        stacked_u = np.zeros((len(members), visits))
-        stacked_w = np.zeros((len(members), visits))
-        for pos in range(len(members)):
-            u_row, w_row = resolved[pos]
+        member_grids = [grids[i] for i in members]
+        stacked_u = np.zeros((len(members), max(member_grids)))
+        stacked_w = np.zeros_like(stacked_u)
+        for pos, (u_row, w_row) in enumerate(resolved):
             stacked_u[pos, : u_row.size] = u_row
             stacked_w[pos, : w_row.size] = w_row
-        n_ue, n_write, no_ue = _recursion_batch(stacked_u, stacked_w)
+        n_ue, n_write, no_ue = _recursion_batch(stacked_u, stacked_w, member_grids)
         for pos, i in enumerate(members):
             solutions[i] = FiniteHorizonSolution(
                 interval=tasks[i].interval,
                 horizon=horizon,
-                visits=visits,
+                visits=grids[i],
                 expected_ue=float(n_ue[pos]),
                 expected_writes=float(n_write[pos]),
                 no_ue_probability=float(no_ue[pos]),

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ecc.bch import BchCode
 from repro.ecc.gf import (
     GF2m,
     PRIMITIVE_POLYS,
@@ -113,6 +117,28 @@ class TestMinimalPolynomials:
         for i in (1, 5, 33):
             mask = field.minimal_polynomial(i)
             assert poly2_degree(mask) == len(field.cyclotomic_coset(i))
+
+
+
+class TestLifetime:
+    """The minimal-polynomial memo must not keep fields (and their tables)
+    alive: a class-level cache on the method once did, and every scheme a
+    provisioning sweep built leaked one."""
+
+    def test_dropped_field_is_collected(self):
+        field = GF2m(10)
+        field.minimal_polynomial(3)
+        ref = weakref.ref(field)
+        del field
+        gc.collect()
+        assert ref() is None
+
+    def test_dropped_code_is_collected(self):
+        code = BchCode(512, 4)
+        refs = [weakref.ref(code), weakref.ref(code.field)]
+        del code
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 class TestPoly2:

@@ -222,6 +222,23 @@ class TestSearchResults:
                     eval_s.scrub_energy_j, rel=1e-9
                 )
 
+    def test_one_kernel_call_covers_every_lot(self, monkeypatch):
+        from repro.provision import search
+
+        calls = []
+        kernel = search.finite_horizon_batch
+
+        def counting(tasks, horizon, **kwargs):
+            calls.append(len(tasks))
+            return kernel(tasks, horizon, **kwargs)
+
+        monkeypatch.setattr(search, "finite_horizon_batch", counting)
+        spec = make_spec()
+        space = small_space()
+        report = ProvisionSearch(spec, space).run()
+        assert len(report.lots) == 2
+        assert calls == [spec.devices * len(space.candidates())]
+
     def test_jobs_do_not_change_the_report(self):
         spec = make_spec()
         space = small_space(policies=("threshold", "basic"),

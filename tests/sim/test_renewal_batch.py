@@ -30,6 +30,7 @@ from repro.sim.renewal import RenewalModel, finite_horizon_recursion
 from repro.sim.renewal_batch import (
     SURROGATE_MEMO_COUNTERS,
     RenewalTask,
+    _propagate_batch,
     _propagation_cache_path,
     _recursion_batch,
     clear_propagation_cache,
@@ -76,9 +77,18 @@ def _task(
 
 @st.composite
 def resolution_grids(draw):
-    """Random ``(R, V)`` resolution stacks with per-visit ``u + w <= 1``."""
+    """Random ``(R, V)`` resolution stacks with per-visit ``u + w <= 1``.
+
+    Each row draws its own length ``<= V``; its columns past that are
+    filled too, so a kernel reading beyond a row's length shows.
+    """
     rows = draw(st.integers(min_value=1, max_value=4))
     visits = draw(st.integers(min_value=1, max_value=12))
+    lengths = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=visits), min_size=rows, max_size=rows
+        )
+    )
     unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
     u = np.empty((rows, visits))
     w = np.empty((rows, visits))
@@ -88,21 +98,63 @@ def resolution_grids(draw):
             split = draw(unit)
             u[r, v] = mass * split
             w[r, v] = mass * (1.0 - split)
-    return u, w
+    return u, w, lengths
 
 
 @given(resolution_grids())
 def test_recursion_batch_matches_scalar_reference(grids):
-    u, w = grids
-    n_ue, n_write, no_ue = _recursion_batch(u, w)
-    for r in range(u.shape[0]):
+    u, w, lengths = grids
+    n_ue, n_write, no_ue = _recursion_batch(u, w, lengths)
+    for r, length in enumerate(lengths):
         ue_ref, write_ref, q_ref = finite_horizon_recursion(
-            list(u[r]), list(w[r]), u.shape[1]
+            list(u[r]), list(w[r]), length
         )
         assert n_ue[r] == pytest.approx(ue_ref, rel=REL_TOL, abs=1e-12)
         assert n_write[r] == pytest.approx(write_ref, rel=REL_TOL, abs=1e-12)
         assert no_ue[r] == pytest.approx(q_ref, rel=REL_TOL, abs=1e-12)
         assert 0.0 <= no_ue[r] <= 1.0
+
+
+@st.composite
+def propagation_stacks(draw):
+    """A policy point and 1-5 rows of (distribution, interval, length)."""
+    t_ecc = draw(st.integers(min_value=1, max_value=4))
+    threshold = draw(st.integers(min_value=1, max_value=t_ecc))
+    # Four cells exercise PMFs truncated by the line size (k + j <= cells).
+    cells = draw(st.sampled_from([4, 64, 256]))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([DISTRIBUTION, HOT]),
+                st.sampled_from([600.0, 2 * units.HOUR, units.DAY, 10 * units.DAY]),
+                st.integers(min_value=1, max_value=40),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    # 1e-2 puts the early break inside most stacks.
+    tolerance = draw(st.sampled_from([1e-12, 1e-2]))
+    return t_ecc, threshold, cells, rows, tolerance
+
+
+@given(propagation_stacks())
+def test_propagate_batch_rows_match_alone(stack):
+    t_ecc, threshold, cells, rows, tolerance = stack
+    distributions, intervals, lengths = zip(*rows)
+    u, w = _propagate_batch(
+        distributions, intervals, t_ecc, threshold, cells, lengths, tolerance
+    )
+    assert u.shape == w.shape == (len(rows), max(lengths))
+    for r, length in enumerate(lengths):
+        u_alone, w_alone = _propagate_batch(
+            [distributions[r]], [intervals[r]], t_ecc, threshold, cells,
+            [length], tolerance,
+        )
+        # Bit for bit, and zero past the row's own length.
+        assert u[r, :length].tobytes() == u_alone[0].tobytes()
+        assert w[r, :length].tobytes() == w_alone[0].tobytes()
+        assert not u[r, length:].any() and not w[r, length:].any()
 
 
 # -- kernel vs scalar solver on real distributions -------------------------------
@@ -138,18 +190,24 @@ class TestKernelParity:
 
     def test_order_preserved_and_chunking_invariant(self):
         horizon = 2 * units.DAY
+        # Four grid lengths and two lots (distributions) per policy point;
+        # memo=False so every call really propagates.
         tasks = [
-            _task(interval=units.HOUR * h, t_ecc=4, threshold=t)
-            for h in (1, 2, 3)
+            _task(distribution=d, interval=units.HOUR * h, t_ecc=4, threshold=t)
+            for d in (DISTRIBUTION, HOT)
+            for h in (1, 2, 3, 7)
             for t in (1, 2, 3)
         ]
-        whole = finite_horizon_batch(tasks, horizon)
-        split = finite_horizon_batch(tasks[:4], horizon) + finite_horizon_batch(
-            tasks[4:], horizon
-        )
+        whole = finite_horizon_batch(tasks, horizon, memo=False)
+        split = finite_horizon_batch(
+            tasks[:4], horizon, memo=False
+        ) + finite_horizon_batch(tasks[4:], horizon, memo=False)
         assert [s.interval for s in whole] == [t.interval for t in tasks]
-        for a, b in zip(whole, split):
-            assert a == b  # bit-identical, not approx: same per-row float ops
+        assert len({s.visits for s in whole}) == 4
+        for i, task in enumerate(tasks):
+            alone = finite_horizon_batch([task], horizon, memo=False)[0]
+            # Bit-identical, not approx: the same per-row float ops.
+            assert whole[i] == split[i] == alone
 
     def test_zero_visit_tasks_short_circuit(self):
         solution = finite_horizon_batch(
